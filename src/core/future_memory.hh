@@ -49,6 +49,27 @@ struct BatchEntry
 };
 
 /**
+ * Batch entry of one resident (or about-to-be-resident) request:
+ * its private KV footprint — `prompt_len + generated_len` tokens
+ * minus the `cached_prefix` tokens held in shared prefix-cache
+ * blocks — with `predicted_output - generated_len` steps of growth
+ * left. The cached prefix can reach into regenerated output (a
+ * re-admitted session turn matches prompt + reply), so it is
+ * subtracted from the whole footprint, never from the prompt alone.
+ * Eq. 3 only sums l_p + l_t and reads l_hat - l_t, so the entry
+ * carries the footprint as its l_p with l_t = 0. Every future-memory
+ * walk over a batch (the schedulers' and the engine's audit) builds
+ * its entries here.
+ */
+inline BatchEntry
+residentEntry(TokenCount prompt_len, TokenCount generated_len,
+              TokenCount cached_prefix, TokenCount predicted_output)
+{
+    return BatchEntry{prompt_len + generated_len - cached_prefix, 0,
+                      predicted_output - generated_len};
+}
+
+/**
  * Peak future memory M* (Eq. 4) of a batch; O(k log k).
  * Entries are reordered in place (descending remaining length).
  * Returns 0 for an empty batch.

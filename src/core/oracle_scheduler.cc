@@ -28,9 +28,9 @@ OracleScheduler::beginAdmissionRound(const SchedulerContext &ctx)
             effectiveOutput(request.trueOutputLen,
                             request.maxNewTokens),
             request.generatedLen);
-        entries_.push_back(BatchEntry{
-            request.promptLen - request.cachedPrefixLen,
-            request.generatedLen, total});
+        entries_.push_back(residentEntry(
+            request.promptLen, request.generatedLen,
+            request.cachedPrefixLen, total));
     }
 }
 
@@ -41,10 +41,9 @@ OracleScheduler::tryAdmit(const WaitingView &candidate)
         effectiveOutput(candidate.trueOutputLen,
                         candidate.maxNewTokens),
         candidate.generatedLen);
-    const BatchEntry entry{
-        candidate.promptLen + candidate.generatedLen -
-            candidate.cachedPrefixLen,
-        0, total - candidate.generatedLen};
+    const BatchEntry entry = residentEntry(
+        candidate.promptLen, candidate.generatedLen,
+        candidate.cachedPrefixLen, total);
     scratch_ = entries_;
     scratch_.push_back(entry);
     const TokenCount overhead = perRequestOverhead_ *

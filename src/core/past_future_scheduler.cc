@@ -175,11 +175,10 @@ PastFutureScheduler::beginAdmissionRound(const SchedulerContext &ctx)
                           request.maxNewTokens)
                 : samplePerturbed(request.generatedLen,
                                   request.maxNewTokens);
-            // Shared prefix blocks cost no private memory: charge
-            // the uncached prompt suffix only.
-            entries.push_back(BatchEntry{
-                request.promptLen - request.cachedPrefixLen,
-                request.generatedLen, predicted});
+            // Shared prefix blocks cost no private memory.
+            entries.push_back(residentEntry(
+                request.promptLen, request.generatedLen,
+                request.cachedPrefixLen, predicted));
         }
     }
     peaks_.resize(trials);
@@ -200,10 +199,9 @@ PastFutureScheduler::tryAdmit(const WaitingView &candidate)
         // generated tokens, so that is the candidate's resident
         // footprint at admission — minus whatever prefix the cache
         // already holds; the remainder is its future growth.
-        candidateEntries_[t] = BatchEntry{
-            candidate.promptLen + candidate.generatedLen -
-                candidate.cachedPrefixLen,
-            0, predicted - candidate.generatedLen};
+        candidateEntries_[t] = residentEntry(
+            candidate.promptLen, candidate.generatedLen,
+            candidate.cachedPrefixLen, predicted);
         scratch_ = trialEntries_[t];
         scratch_.push_back(candidateEntries_[t]);
         peaks_[t] =
@@ -248,11 +246,11 @@ PastFutureScheduler::estimateFutureMemory(const SchedulerContext &ctx)
     loadScratch_.clear();
     loadScratch_.reserve(ctx.running.size());
     for (const auto &request : ctx.running) {
-        loadScratch_.push_back(BatchEntry{
-            request.promptLen - request.cachedPrefixLen,
-            request.generatedLen,
+        loadScratch_.push_back(residentEntry(
+            request.promptLen, request.generatedLen,
+            request.cachedPrefixLen,
             predict(request.id, request.generatedLen,
-                    request.maxNewTokens)});
+                    request.maxNewTokens)));
     }
     return futureRequiredMemory(loadScratch_);
 }

@@ -59,10 +59,12 @@ struct RunningView
     bool prefilling = false;
 
     /**
-     * Prompt tokens resident in *shared* prefix-cache blocks. They
-     * cost no private memory, so memory-exact policies charge
-     * promptLen - cachedPrefixLen for this request's resident
-     * prompt (0 when prefix caching is off — the seed arithmetic).
+     * Tokens resident in *shared* prefix-cache blocks. They cost no
+     * private memory, so memory-exact policies charge promptLen +
+     * generatedLen - cachedPrefixLen for this request's resident KV
+     * (core::residentEntry; 0 when prefix caching is off — the seed
+     * arithmetic). A re-admitted session turn can match into its
+     * regenerated output, so this may exceed promptLen.
      */
     TokenCount cachedPrefixLen = 0;
 };

@@ -10,6 +10,30 @@
 namespace lightllm {
 namespace engine {
 
+namespace {
+
+/** What an admitted request does in the current iteration. */
+enum class WorkKind : std::uint8_t
+{
+    /** Restore swapped-out KV, then join the decode batch. */
+    SwapIn,
+    /** Migrated KV is resident: join the decode batch with no
+     *  prefill compute and no emission. */
+    MigratedJoin,
+    /** Prefill `chunk` prompt tokens; the pass that finishes the
+     *  prompt emits the first token. */
+    Prefill,
+};
+
+} // namespace
+
+struct ServingEngine::PlannedWork
+{
+    EngineRequest *request;
+    WorkKind kind;
+    TokenCount chunk;
+};
+
 ServingEngine::ServingEngine(
     model::PerfModel perf_model,
     std::unique_ptr<core::SchedulingPolicy> policy,
@@ -164,7 +188,6 @@ ServingEngine::allocRequest()
         request->remainingPrompt = 0;
         request->swappedOut = false;
         request->cachedPrefix = 0;
-        request->migratedAdmit = false;
         request->hashes.clear();
         request->hashedFor = -1;
         return request;
@@ -406,7 +429,6 @@ ServingEngine::admitOne(EngineRequest *request)
             return false;
         request->admitSeq = nextAdmitSeq_++;
         request->remainingPrompt = 0;
-        request->migratedAdmit = true;
         prefillPending_.push_back(request);
         return true;
     }
@@ -711,186 +733,25 @@ ServingEngine::evictRequest(RequestId id, bool reactive)
 }
 
 TokenCount
-ServingEngine::trueFutureMemory() const
+ServingEngine::batchFutureMemory(bool predicted)
 {
     scratchEntries_.clear();
-    auto add_entry = [this](const EngineRequest *request) {
-        const TokenCount target =
-            std::max(request->targetOutput(), request->generated);
-        scratchEntries_.push_back(core::BatchEntry{
-            request->spec.inputLen - request->cachedPrefix,
-            request->generated, target});
+    auto add_entry = [&](const EngineRequest *request) {
+        const TokenCount target = predicted
+            ? policy_->peekPrediction(request->spec.id,
+                                      request->generated,
+                                      request->spec.maxNewTokens)
+            : request->targetOutput();
+        scratchEntries_.push_back(core::residentEntry(
+            request->spec.inputLen, request->generated,
+            request->cachedPrefix,
+            std::max(target, request->generated)));
     };
     for (const EngineRequest *request : running_)
         add_entry(request);
     for (const EngineRequest *request : prefillPending_)
         add_entry(request);
     return core::futureRequiredMemory(scratchEntries_);
-}
-
-TokenCount
-ServingEngine::predictedFutureMemory()
-{
-    // Same batch walk as trueFutureMemory, but with the target
-    // lengths the scheduler believes in (read-only peek — consumes
-    // no RNG, inserts no sticky state).
-    scratchEntries_.clear();
-    auto add_entry = [this](const EngineRequest *request) {
-        const TokenCount predicted = std::max(
-            policy_->peekPrediction(request->spec.id,
-                                    request->generated,
-                                    request->spec.maxNewTokens),
-            request->generated);
-        scratchEntries_.push_back(core::BatchEntry{
-            request->spec.inputLen - request->cachedPrefix,
-            request->generated, predicted});
-    };
-    for (const EngineRequest *request : running_)
-        add_entry(request);
-    for (const EngineRequest *request : prefillPending_)
-        add_entry(request);
-    return core::futureRequiredMemory(scratchEntries_);
-}
-
-void
-ServingEngine::runPrefillPhase()
-{
-    for (EngineRequest *request : prefillPending_) {
-        if (request->swappedOut) {
-            // Swap-in: restore the KV; no compute, no new token
-            // (the request resumes decoding from where it was).
-            const Tick duration = scaled(perf_.swapLatency(
-                request->spec.inputLen + request->generated));
-            now_ += duration;
-            collector_.onSwap(
-                request->spec.inputLen + request->generated,
-                duration);
-            request->swappedOut = false;
-            running_.push_back(request);
-            if (trace_ != nullptr) {
-                trace_->instant(trace::TraceName::SwapIn,
-                                request->spec.id, now_,
-                                request->spec.inputLen +
-                                    request->generated);
-                trace_->end(trace::TraceName::Prefill,
-                            request->spec.id, now_);
-                trace_->begin(trace::TraceName::Decode,
-                              request->spec.id, now_,
-                              request->generated);
-            }
-            continue;
-        }
-        if (request->migratedAdmit) {
-            // Migrated KV is already resident: straight to the
-            // decode batch. The transfer cost was paid on the
-            // interconnect before dispatch.
-            request->migratedAdmit = false;
-            running_.push_back(request);
-            if (trace_ != nullptr) {
-                trace_->instant(trace::TraceName::Migrated,
-                                request->spec.id, now_,
-                                request->spec.migratedPrefix);
-                trace_->end(trace::TraceName::Prefill,
-                            request->spec.id, now_);
-                trace_->begin(trace::TraceName::Decode,
-                              request->spec.id, now_,
-                              request->generated);
-            }
-            continue;
-        }
-        const Tick duration =
-            scaled(perf_.prefillLatency(request->remainingPrompt));
-        now_ += duration;
-        collector_.onPrefill(request->remainingPrompt, duration);
-        request->remainingPrompt = 0;
-        request->generated += 1;
-        recordEmission(*request, now_);
-        if (trace_ != nullptr)
-            trace_->end(trace::TraceName::Prefill,
-                        request->spec.id, now_);
-        if (request->generated >= request->targetOutput()) {
-            finishRequest(request);  // does its own cacheInsert
-        } else {
-            if (trace_ != nullptr)
-                trace_->begin(trace::TraceName::Decode,
-                              request->spec.id, now_,
-                              request->generated);
-            // The freshly prefilled prompt blocks are now valid
-            // KV: publish them so concurrent same-prefix requests
-            // share.
-            cacheInsert(request);
-            running_.push_back(request);
-        }
-    }
-    prefillPending_.clear();
-}
-
-void
-ServingEngine::runDecodeStep()
-{
-    runningIds_.clear();
-    for (const EngineRequest *request : running_)
-        runningIds_.push_back(request->spec.id);
-
-    // extendBatchByOne fuses the feasibility check with the
-    // per-request growth (one KV lookup per request per step); a
-    // false return changed nothing, exactly like the old split
-    // check, so the eviction loop is unchanged.
-    Tick eviction_stall = 0;
-    while (!running_.empty() &&
-           !kv_.extendBatchByOne(runningIds_)) {
-        if (running_.size() == 1) {
-            // A lone request that cannot extend would evict and
-            // re-admit itself forever.
-            fatal("request ", running_.front()->spec.id,
-                  " outgrew the KV capacity of ",
-                  kv_.capacityTokens(),
-                  " tokens; raise capacity or lower "
-                  "max_new_tokens");
-        }
-        eviction_stall += evictOne();
-    }
-    if (running_.empty()) {
-        now_ += eviction_stall;
-        return;
-    }
-
-    TokenCount batch_kv = 0;
-    for (EngineRequest *request : running_) {
-        request->generated += 1;
-        batch_kv += request->spec.inputLen + request->generated;
-    }
-
-    const auto batch_size =
-        static_cast<std::int64_t>(running_.size());
-    const Tick duration = eviction_stall +
-        scaled(perf_.decodeLatency(batch_size, batch_kv));
-    now_ += duration;
-    const TokenCount true_future = trueFutureMemory();
-    const TokenCount predicted_future = predictedFutureMemory();
-    collector_.onDecodeStep(batch_size, kv_.usedTokens(),
-                            true_future, predicted_future, now_,
-                            duration);
-    if (trace_ != nullptr && trace_->stepsEnabled())
-        traceStepCounters(batch_size, true_future, predicted_future);
-
-    // Emissions and completions.
-    finishedScratch_.clear();
-    for (EngineRequest *request : running_)
-        recordEmission(*request, now_);
-    std::erase_if(running_, [&](EngineRequest *request) {
-        if (request->generated >= request->targetOutput()) {
-            if (trace_ != nullptr)
-                trace_->end(trace::TraceName::Decode,
-                            request->spec.id, now_,
-                            request->generated);
-            finishedScratch_.push_back(request);
-            return true;
-        }
-        return false;
-    });
-    for (EngineRequest *request : finishedScratch_)
-        finishRequest(request);
 }
 
 void
@@ -909,154 +770,6 @@ ServingEngine::traceStepCounters(std::int64_t batch_size,
                     static_cast<std::int64_t>(waiting_.size()));
 }
 
-void
-ServingEngine::runFusedStep()
-{
-    runningIds_.clear();
-    for (const EngineRequest *request : running_)
-        runningIds_.push_back(request->spec.id);
-
-    // Fused check+growth, as in runDecodeStep: nothing between the
-    // passing call and the step body touches the KV manager, so
-    // applying the extends up front is byte-equivalent.
-    Tick extra_stall = 0;
-    while (!running_.empty() &&
-           !kv_.extendBatchByOne(runningIds_)) {
-        if (running_.size() == 1) {
-            fatal("request ", running_.front()->spec.id,
-                  " outgrew the KV capacity of ",
-                  kv_.capacityTokens(),
-                  " tokens; raise capacity or lower "
-                  "max_new_tokens");
-        }
-        extra_stall += evictOne();
-    }
-
-    // Swap-ins restore admitted-but-offloaded requests; they join
-    // the batch after this step (no token emitted while restoring).
-    swappedInScratch_.clear();
-    std::erase_if(prefillPending_, [&](EngineRequest *request) {
-        if (!request->swappedOut)
-            return false;
-        const TokenCount tokens =
-            request->spec.inputLen + request->generated;
-        const Tick cost = scaled(perf_.swapLatency(tokens));
-        extra_stall += cost;
-        collector_.onSwap(tokens, cost);
-        request->swappedOut = false;
-        if (trace_ != nullptr) {
-            trace_->instant(trace::TraceName::SwapIn,
-                            request->spec.id, now_, tokens);
-        }
-        swappedInScratch_.push_back(request);
-        return true;
-    });
-
-    // Consume up to one chunk of pending prompt tokens (front
-    // requests first).
-    TokenCount chunk_used = 0;
-    for (EngineRequest *request : prefillPending_) {
-        if (chunk_used >= config_.splitFuseChunk)
-            break;
-        const TokenCount take = std::min(
-            config_.splitFuseChunk - chunk_used,
-            request->remainingPrompt);
-        request->remainingPrompt -= take;
-        chunk_used += take;
-        if (take > 0 && trace_ != nullptr &&
-            trace_->stepsEnabled()) {
-            trace_->instant(trace::TraceName::Chunk,
-                            request->spec.id, now_, take,
-                            request->remainingPrompt);
-        }
-    }
-
-    TokenCount batch_kv = 0;
-    for (EngineRequest *request : running_) {
-        request->generated += 1;
-        batch_kv += request->spec.inputLen + request->generated;
-    }
-
-    const auto batch_size =
-        static_cast<std::int64_t>(running_.size());
-    if (batch_size == 0 && chunk_used == 0 &&
-        swappedInScratch_.empty()) {
-        return;
-    }
-    Tick duration = extra_stall;
-    if (batch_size > 0 || chunk_used > 0) {
-        duration += scaled(perf_.fusedStepLatency(
-            batch_size, batch_kv, chunk_used));
-    }
-    now_ += duration;
-    if (batch_size > 0) {
-        const TokenCount true_future = trueFutureMemory();
-        const TokenCount predicted_future = predictedFutureMemory();
-        collector_.onDecodeStep(batch_size, kv_.usedTokens(),
-                                true_future, predicted_future,
-                                now_, duration);
-        if (trace_ != nullptr && trace_->stepsEnabled()) {
-            traceStepCounters(batch_size, true_future,
-                              predicted_future);
-        }
-    }
-    if (chunk_used > 0)
-        collector_.onPrefill(chunk_used, duration);
-
-    finishedScratch_.clear();
-    for (EngineRequest *request : running_)
-        recordEmission(*request, now_);
-    std::erase_if(running_, [&](EngineRequest *request) {
-        if (request->generated >= request->targetOutput()) {
-            if (trace_ != nullptr)
-                trace_->end(trace::TraceName::Decode,
-                            request->spec.id, now_,
-                            request->generated);
-            finishedScratch_.push_back(request);
-            return true;
-        }
-        return false;
-    });
-
-    // Requests whose prefill completed emit their first token and
-    // join the running batch.
-    std::erase_if(prefillPending_, [&](EngineRequest *request) {
-        if (request->remainingPrompt > 0)
-            return false;
-        request->generated += 1;
-        recordEmission(*request, now_);
-        if (trace_ != nullptr)
-            trace_->end(trace::TraceName::Prefill,
-                        request->spec.id, now_);
-        if (request->generated >= request->targetOutput()) {
-            finishedScratch_.push_back(request);  // finish inserts
-        } else {
-            if (trace_ != nullptr)
-                trace_->begin(trace::TraceName::Decode,
-                              request->spec.id, now_,
-                              request->generated);
-            cacheInsert(request);
-            running_.push_back(request);
-        }
-        return true;
-    });
-
-    for (EngineRequest *request : finishedScratch_)
-        finishRequest(request);
-
-    // Restored requests resume decoding from the next step.
-    for (EngineRequest *request : swappedInScratch_) {
-        if (trace_ != nullptr) {
-            trace_->end(trace::TraceName::Prefill,
-                        request->spec.id, now_);
-            trace_->begin(trace::TraceName::Decode,
-                          request->spec.id, now_,
-                          request->generated);
-        }
-        running_.push_back(request);
-    }
-}
-
 bool
 ServingEngine::limitsReached(const RunLimits &limits) const
 {
@@ -1073,13 +786,208 @@ void
 ServingEngine::iterateOnce()
 {
     admitRequests();
+    planIteration();
     if (config_.splitFuse) {
-        runFusedStep();
+        // One forward pass carries the decode batch and the chunk.
+        runPass(true, plan_);
+        return;
+    }
+    // Dedicated passes: each planned item at its own tick, in
+    // admission order, then one decode step over the grown batch.
+    const std::span<const PlannedWork> plan(plan_);
+    for (std::size_t i = 0; i < plan.size(); ++i)
+        runPass(false, plan.subspan(i, 1));
+    runPass(true, {});
+}
+
+void
+ServingEngine::planIteration()
+{
+    plan_.clear();
+    TokenCount budget = config_.splitFuse
+        ? config_.splitFuseChunk
+        : std::numeric_limits<TokenCount>::max();
+    std::erase_if(prefillPending_, [&](EngineRequest *request) {
+        if (request->swappedOut) {
+            plan_.push_back({request, WorkKind::SwapIn, 0});
+            return true;
+        }
+        if (migratedResidentTokens(*request) > 0) {
+            plan_.push_back({request, WorkKind::MigratedJoin, 0});
+            return true;
+        }
+        // Front requests first; a prompt the budget does not reach
+        // waits for a later iteration.
+        const TokenCount chunk =
+            std::min(budget, request->remainingPrompt);
+        if (chunk > 0) {
+            plan_.push_back({request, WorkKind::Prefill, chunk});
+            budget -= chunk;
+        }
+        return false;
+    });
+}
+
+void
+ServingEngine::runPass(bool decode, std::span<const PlannedWork> work)
+{
+    // Decode growth first: one KV slot per running request, evicting
+    // until the batch fits. extendBatchByOne fuses the check with the
+    // growth, and a false return changed nothing, so the eviction
+    // order is that of a separate check.
+    Tick stall = 0;
+    TokenCount batch_kv = 0;
+    if (decode) {
+        runningIds_.clear();
+        for (const EngineRequest *request : running_)
+            runningIds_.push_back(request->spec.id);
+        while (!running_.empty() &&
+               !kv_.extendBatchByOne(runningIds_)) {
+            if (running_.size() == 1) {
+                // A lone request that cannot extend would evict and
+                // re-admit itself forever.
+                fatal("request ", running_.front()->spec.id,
+                      " outgrew the KV capacity of ",
+                      kv_.capacityTokens(),
+                      " tokens; raise capacity or lower "
+                      "max_new_tokens");
+            }
+            stall += evictOne();
+        }
+        for (EngineRequest *request : running_) {
+            request->generated += 1;
+            batch_kv += request->spec.inputLen + request->generated;
+        }
+    }
+    const auto batch_size =
+        decode ? static_cast<std::int64_t>(running_.size()) : 0;
+
+    // Swap-ins stall the pass for their host transfer; prefill
+    // items consume their planned chunk.
+    TokenCount chunk = 0;
+    for (const PlannedWork &item : work) {
+        EngineRequest *request = item.request;
+        if (item.kind == WorkKind::SwapIn) {
+            const TokenCount tokens =
+                request->spec.inputLen + request->generated;
+            const Tick cost = scaled(perf_.swapLatency(tokens));
+            stall += cost;
+            collector_.onSwap(tokens, cost);
+            request->swappedOut = false;
+        } else if (item.kind == WorkKind::Prefill) {
+            request->remainingPrompt -= item.chunk;
+            chunk += item.chunk;
+            if (trace_ != nullptr && trace_->stepsEnabled()) {
+                trace_->instant(trace::TraceName::Chunk,
+                                request->spec.id, now_, item.chunk,
+                                request->remainingPrompt);
+            }
+        }
+    }
+
+    // Pricing, the only step that differs by mode: one fused step,
+    // or a dedicated prefill or decode iteration.
+    Tick duration = stall;
+    if (config_.splitFuse) {
+        if (batch_size > 0 || chunk > 0) {
+            duration += scaled(
+                perf_.fusedStepLatency(batch_size, batch_kv, chunk));
+        }
     } else {
-        if (!prefillPending_.empty())
-            runPrefillPhase();
-        if (!running_.empty())
-            runDecodeStep();
+        if (chunk > 0)
+            duration += scaled(perf_.prefillLatency(chunk));
+        if (batch_size > 0)
+            duration +=
+                scaled(perf_.decodeLatency(batch_size, batch_kv));
+    }
+    now_ += duration;
+
+    if (batch_size > 0) {
+        const TokenCount true_future = batchFutureMemory(false);
+        const TokenCount predicted_future = batchFutureMemory(true);
+        collector_.onDecodeStep(batch_size, kv_.usedTokens(),
+                                true_future, predicted_future, now_,
+                                duration);
+        if (trace_ != nullptr && trace_->stepsEnabled())
+            traceStepCounters(batch_size, true_future,
+                              predicted_future);
+    }
+    if (chunk > 0)
+        collector_.onPrefill(chunk, duration);
+
+    // Emissions. Requests reaching their target finish below,
+    // after this pass's prefill completions.
+    finishedScratch_.clear();
+    if (batch_size > 0) {
+        for (EngineRequest *request : running_)
+            recordEmission(*request, now_);
+        std::erase_if(running_, [&](EngineRequest *request) {
+            if (request->generated < request->targetOutput())
+                return false;
+            if (trace_ != nullptr)
+                trace_->end(trace::TraceName::Decode,
+                            request->spec.id, now_,
+                            request->generated);
+            finishedScratch_.push_back(request);
+            return true;
+        });
+    }
+
+    // A request whose prompt this pass finished emits its first
+    // token and joins the decode batch (from the next pass on).
+    for (const PlannedWork &item : work) {
+        EngineRequest *request = item.request;
+        if (item.kind != WorkKind::Prefill ||
+            request->remainingPrompt > 0) {
+            continue;
+        }
+        request->generated += 1;
+        recordEmission(*request, now_);
+        if (trace_ != nullptr)
+            trace_->end(trace::TraceName::Prefill, request->spec.id,
+                        now_);
+        if (request->generated >= request->targetOutput()) {
+            finishedScratch_.push_back(request);  // finish inserts
+            continue;
+        }
+        if (trace_ != nullptr)
+            trace_->begin(trace::TraceName::Decode, request->spec.id,
+                          now_, request->generated);
+        // The freshly prefilled prompt blocks are now valid KV:
+        // publish them so concurrent same-prefix requests share.
+        cacheInsert(request);
+        running_.push_back(request);
+    }
+    std::erase_if(prefillPending_, [](const EngineRequest *request) {
+        return request->remainingPrompt == 0;
+    });
+    for (EngineRequest *request : finishedScratch_)
+        finishRequest(request);
+
+    // Restored and migrated KV joins the decode batch without
+    // compute or emission (a migrated request's first token came
+    // from the prefill pool; its transfer was paid before dispatch).
+    for (const PlannedWork &item : work) {
+        EngineRequest *request = item.request;
+        if (item.kind == WorkKind::Prefill)
+            continue;
+        if (trace_ != nullptr) {
+            if (item.kind == WorkKind::SwapIn) {
+                trace_->instant(trace::TraceName::SwapIn,
+                                request->spec.id, now_,
+                                request->spec.inputLen +
+                                    request->generated);
+            } else {
+                trace_->instant(trace::TraceName::Migrated,
+                                request->spec.id, now_,
+                                request->spec.migratedPrefix);
+            }
+            trace_->end(trace::TraceName::Prefill, request->spec.id,
+                        now_);
+            trace_->begin(trace::TraceName::Decode, request->spec.id,
+                          now_, request->generated);
+        }
+        running_.push_back(request);
     }
 }
 

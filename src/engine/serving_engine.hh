@@ -37,6 +37,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -259,9 +260,10 @@ class ServingEngine : public workload::RequestSink
      * Minimum ticks between a Step event of this engine firing and
      * any Delivery event its handler schedules (completion
      * notifications fire at the iteration's end tick, and every
-     * iteration advances the clock by at least one scaled phase
-     * latency). The sharded scheduler takes the fleet-wide minimum
-     * as its conservative window lookahead (DESIGN.md §9).
+     * iteration that emits advances the clock by at least one
+     * scaled phase latency). The sharded scheduler takes the
+     * fleet-wide minimum as its conservative window lookahead
+     * (DESIGN.md §9).
      */
     Tick deliverySpawnFloor() const;
 
@@ -297,14 +299,9 @@ class ServingEngine : public workload::RequestSink
         /** KV lives in host memory awaiting swap-in. */
         bool swappedOut = false;
 
-        /** Prompt tokens resident in shared prefix-cache blocks
-         *  (0 unless admitted through a cache match). */
+        /** Tokens resident in shared prefix-cache blocks (0 unless
+         *  admitted through a cache match); may exceed inputLen. */
         TokenCount cachedPrefix = 0;
-
-        /** Admitted this iteration with migrated KV: the prefill
-         *  phase moves it straight to running (no compute, no
-         *  emission — the first token came from the prefill pool). */
-        bool migratedAdmit = false;
 
         /** Memoised prompt block-hash chain (prefix-cache mode)
          *  and the token cap it was computed for (-1 = none). */
@@ -327,9 +324,20 @@ class ServingEngine : public workload::RequestSink
      *  (standalone mode). */
     void deliverArrivals();
 
-    /** One engine iteration: admissions + prefill/decode phases.
-     *  Shared by stepOnce() and the actor-mode Step handler. */
+    /** One engine iteration, shared by stepOnce() and the actor
+     *  Step handler: admit, plan, run the plan (DESIGN.md §1). */
     void iterateOnce();
+
+    /** One admitted request's work this iteration (.cc-private). */
+    struct PlannedWork;
+
+    /** Fill plan_ from prefillPending_ in admission order: swap-ins
+     *  and migrated joins leave it; prompts share a chunk budget. */
+    void planIteration();
+
+    /** One priced forward pass over `work`, plus one decode token
+     *  per running request when `decode` is set. */
+    void runPass(bool decode, std::span<const PlannedWork> work);
 
     /** Actor mode: ensure a Step event is scheduled no later than
      *  max(now_, when). */
@@ -370,15 +378,6 @@ class ServingEngine : public workload::RequestSink
      *  names their content). No-op outside prefix-cache mode. */
     void cacheInsert(EngineRequest *request);
 
-    /** Process all pending prefills as dedicated iterations. */
-    void runPrefillPhase();
-
-    /** One decode iteration over the running batch. */
-    void runDecodeStep();
-
-    /** One split-fuse iteration (decode + prompt chunk). */
-    void runFusedStep();
-
     /**
      * Evict one running request; the victim is chosen by the
      * scheduling policy (queue-policy victim ranking over the
@@ -401,15 +400,10 @@ class ServingEngine : public workload::RequestSink
     /** Complete a request and notify listeners. */
     void finishRequest(EngineRequest *request);
 
-    /** Exact future required memory with ground-truth lengths. */
-    TokenCount trueFutureMemory() const;
-
-    /**
-     * The scheduler's own future-memory estimate for the current
-     * batch, via the read-only prediction peek (prediction audit;
-     * never consumes RNG or scheduler state).
-     */
-    TokenCount predictedFutureMemory();
+    /** Future required memory of the running and prefilling
+     *  requests, with true output lengths or (`predicted`) the
+     *  scheduler's read-only prediction peek — the audit pair. */
+    TokenCount batchFutureMemory(bool predicted);
 
     /** Trace a successful admission (queued → prefill spans). */
     void traceAdmit(const EngineRequest &request);
@@ -540,8 +534,8 @@ class ServingEngine : public workload::RequestSink
     std::vector<RequestId> runningIds_;
     std::vector<RequestId> victimScratch_;
     std::vector<EngineRequest *> finishedScratch_;
-    std::vector<EngineRequest *> swappedInScratch_;
-    mutable std::vector<core::BatchEntry> scratchEntries_;
+    std::vector<PlannedWork> plan_;
+    std::vector<core::BatchEntry> scratchEntries_;
     std::vector<memory::BlockId> matchScratch_;
     std::vector<PromptSegment> streamScratch_;
     std::vector<PrefixHash> insertHashScratch_;

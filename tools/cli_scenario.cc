@@ -939,29 +939,20 @@ assembleScenario(const CliOptions &options)
         limits.maxTicks = secondsToTicks(options.maxSimSeconds);
 
     Scenario scenario{
-        std::move(dataset),
-        session_mode,
-        session_config,
-        scheduler_config,
-        model::PerfModel(model_spec,
-                         makeHardwareSpec(options.hardware,
-                                          options.tensorParallel)),
-        sla,
-        makeEngineConfig(options),
-        limits,
-        options.clients,
-        options.poissonRate,
-        secondsToTicks(options.thinkSeconds),
-        options.seed,
-        {},
-        cluster::RoutingPolicy::FutureMemory,
-        0,
-        1,
-        false,
-        workload::RateSchedule::constant(1.0),
-        false,
-        {},
-        {},
+        .dataset = std::move(dataset),
+        .sessionMode = session_mode,
+        .sessionConfig = session_config,
+        .schedulerConfig = scheduler_config,
+        .perf = model::PerfModel(
+            model_spec, makeHardwareSpec(options.hardware,
+                                         options.tensorParallel)),
+        .sla = sla,
+        .engineConfig = makeEngineConfig(options),
+        .limits = limits,
+        .clients = options.clients,
+        .poissonRate = options.poissonRate,
+        .thinkTime = secondsToTicks(options.thinkSeconds),
+        .seed = options.seed,
     };
 
     if (!options.rateSchedule.empty()) {
@@ -1109,30 +1100,87 @@ runScenario(const Scenario &scenario)
     return report;
 }
 
+namespace {
+
+/**
+ * Drive `sink` with the scenario's load and return `run()`'s report.
+ * The load is, in order of precedence: multi-turn sessions, trace
+ * replay, a rate schedule, Poisson arrivals, or closed-loop clients.
+ * The engine, ServingCluster and DisaggCluster all qualify: each is
+ * a workload::RequestSink with setOnFinish.
+ */
+template <typename Sink, typename Run>
+metrics::RunReport
+driveLoad(const Scenario &scenario, Sink &sink, Run run)
+{
+    if (scenario.sessionMode) {
+        workload::SessionGenerator sessions(scenario.sessionConfig,
+                                            sink);
+        sink.setOnFinish(
+            [&](const workload::RequestSpec &spec, Tick tick) {
+                sessions.onRequestFinished(spec.id, tick);
+            });
+        sessions.start();
+        return run();
+    }
+    if (scenario.traceReplay) {
+        workload::submitTraceArrivals(scenario.dataset, sink);
+        return run();
+    }
+    if (scenario.hasRateSchedule) {
+        workload::submitScheduledArrivals(scenario.dataset, sink,
+                                          scenario.rateSchedule,
+                                          scenario.seed);
+        return run();
+    }
+    if (scenario.poissonRate > 0.0) {
+        workload::submitPoissonArrivals(scenario.dataset, sink,
+                                        scenario.poissonRate,
+                                        scenario.seed);
+        return run();
+    }
+    workload::ClosedLoopClientPool clients(
+        scenario.clients, scenario.dataset, sink,
+        scenario.thinkTime);
+    sink.setOnFinish(
+        [&](const workload::RequestSpec &spec, Tick tick) {
+            clients.onRequestFinished(spec.id, tick);
+        });
+    clients.start();
+    return run();
+}
+
+} // namespace
+
 metrics::RunReport
 runScenario(const Scenario &scenario,
             trace::TraceRecorder *recorder)
 {
+    // Every engine runs the scenario's scheduler and engine
+    // configuration; fleet instances may differ in platform, and
+    // provisioned or pooled instances clone the base one
+    // (--hardware).
+    const auto make_engine = [&](const model::PerfModel &perf) {
+        return std::make_unique<engine::ServingEngine>(
+            perf,
+            core::makeSchedulingPolicy(scenario.schedulerConfig),
+            scenario.engineConfig);
+    };
+    const auto make_base_engine = [&]() {
+        return make_engine(scenario.perf);
+    };
+
     if (scenario.disagg) {
-        // Disaggregated fleet: both pools clone the base platform
-        // (--hardware) and the scenario's scheduler + engine
-        // configuration; the pools differ only in routing and in
-        // the work the DisaggCluster hands them.
-        const auto make_engine = [&scenario]() {
-            return std::make_unique<engine::ServingEngine>(
-                scenario.perf,
-                core::makeSchedulingPolicy(
-                    scenario.schedulerConfig),
-                scenario.engineConfig);
-        };
+        // Disaggregated fleet: the pools differ only in routing and
+        // in the work the DisaggCluster hands them.
         std::vector<std::unique_ptr<engine::ServingEngine>> prefill;
         prefill.reserve(scenario.prefillInstances);
         for (std::size_t i = 0; i < scenario.prefillInstances; ++i)
-            prefill.push_back(make_engine());
+            prefill.push_back(make_base_engine());
         std::vector<std::unique_ptr<engine::ServingEngine>> decode;
         decode.reserve(scenario.decodeInstances);
         for (std::size_t i = 0; i < scenario.decodeInstances; ++i)
-            decode.push_back(make_engine());
+            decode.push_back(make_base_engine());
 
         disagg::DisaggCluster cluster(std::move(prefill),
                                       std::move(decode),
@@ -1148,7 +1196,7 @@ runScenario(const Scenario &scenario,
             const auto enable =
                 [&](cluster::ServingCluster &pool,
                     autoscale::ShedPolicy shed) {
-                    pool.setInstanceFactory(make_engine);
+                    pool.setInstanceFactory(make_base_engine);
                     autoscale::AutoscaleConfig config =
                         scenario.autoscaleConfig;
                     config.shedPolicy = shed;
@@ -1166,100 +1214,28 @@ runScenario(const Scenario &scenario,
             enable(cluster.decodePool(),
                    autoscale::ShedPolicy::Never);
         }
-
-        if (scenario.traceReplay) {
-            workload::submitTraceArrivals(scenario.dataset,
-                                          cluster);
-            return cluster.run();
-        }
-        if (scenario.hasRateSchedule) {
-            workload::submitScheduledArrivals(
-                scenario.dataset, cluster, scenario.rateSchedule,
-                scenario.seed);
-            return cluster.run();
-        }
-        if (scenario.poissonRate > 0.0) {
-            workload::submitPoissonArrivals(scenario.dataset,
-                                            cluster,
-                                            scenario.poissonRate,
-                                            scenario.seed);
-            return cluster.run();
-        }
-        workload::ClosedLoopClientPool clients(
-            scenario.clients, scenario.dataset, cluster,
-            scenario.thinkTime);
-        cluster.setOnFinish(
-            [&](const workload::RequestSpec &spec, Tick tick) {
-                clients.onRequestFinished(spec.id, tick);
-            });
-        clients.start();
-        return cluster.run();
+        return driveLoad(scenario, cluster,
+                         [&] { return cluster.run(); });
     }
 
     if (scenario.fleetPerfs.empty()) {
         // Single instance: the self-clocked engine path, kept
         // bit-identical through the SimContext refactor (golden
         // suite pins it).
-        engine::ServingEngine engine(
-            scenario.perf,
-            core::makeSchedulingPolicy(scenario.schedulerConfig),
-            scenario.engineConfig);
+        const auto engine = make_base_engine();
         if (recorder != nullptr)
-            engine.attachTrace(recorder->createEngine("engine-0"));
-
-        if (scenario.sessionMode) {
-            workload::SessionGenerator sessions(
-                scenario.sessionConfig, engine);
-            engine.setOnFinish(
-                [&](const workload::RequestSpec &spec, Tick tick) {
-                    sessions.onRequestFinished(spec.id, tick);
-                });
-            sessions.start();
-            return engine.run(scenario.limits);
-        }
-
-        if (scenario.traceReplay) {
-            workload::submitTraceArrivals(scenario.dataset,
-                                          engine);
-            return engine.run(scenario.limits);
-        }
-
-        if (scenario.hasRateSchedule) {
-            workload::submitScheduledArrivals(
-                scenario.dataset, engine, scenario.rateSchedule,
-                scenario.seed);
-            return engine.run(scenario.limits);
-        }
-
-        if (scenario.poissonRate > 0.0) {
-            workload::submitPoissonArrivals(scenario.dataset,
-                                            engine,
-                                            scenario.poissonRate,
-                                            scenario.seed);
-            return engine.run(scenario.limits);
-        }
-
-        workload::ClosedLoopClientPool clients(
-            scenario.clients, scenario.dataset, engine,
-            scenario.thinkTime);
-        engine.setOnFinish(
-            [&](const workload::RequestSpec &spec, Tick tick) {
-                clients.onRequestFinished(spec.id, tick);
-            });
-        clients.start();
-        return engine.run(scenario.limits);
+            engine->attachTrace(recorder->createEngine("engine-0"));
+        return driveLoad(scenario, *engine, [&] {
+            return engine->run(scenario.limits);
+        });
     }
 
     // Fleet: engines co-simulate exactly on the cluster's shared
     // SimContext; the router places every request.
     std::vector<std::unique_ptr<engine::ServingEngine>> engines;
     engines.reserve(scenario.fleetPerfs.size());
-    for (const model::PerfModel &perf : scenario.fleetPerfs) {
-        engines.push_back(std::make_unique<engine::ServingEngine>(
-            perf,
-            core::makeSchedulingPolicy(scenario.schedulerConfig),
-            scenario.engineConfig));
-    }
+    for (const model::PerfModel &perf : scenario.fleetPerfs)
+        engines.push_back(make_engine(perf));
     // With --sim-threads K > 1 the fleet borrows an external root
     // context enrolled in a sharded executor; adoption (inside the
     // cluster ctor) then places each engine on a worker shard. The
@@ -1287,16 +1263,7 @@ runScenario(const Scenario &scenario,
         fleet.scheduleDrain(0, scenario.drainAt);
 
     if (scenario.autoscale) {
-        // Provisioned instances are clones of the base platform
-        // (--hardware), sharing the scenario's scheduler + engine
-        // configuration.
-        fleet.setInstanceFactory([&scenario]() {
-            return std::make_unique<engine::ServingEngine>(
-                scenario.perf,
-                core::makeSchedulingPolicy(
-                    scenario.schedulerConfig),
-                scenario.engineConfig);
-        });
+        fleet.setInstanceFactory(make_base_engine);
         auto policy = autoscale::makeScalePolicy(
             scenario.scalePolicyName,
             scenario.autoscaleConfig.sloTarget);
@@ -1305,46 +1272,7 @@ runScenario(const Scenario &scenario,
         fleet.enableAutoscale(scenario.autoscaleConfig,
                               std::move(policy));
     }
-
-    if (scenario.sessionMode) {
-        workload::SessionGenerator sessions(
-            scenario.sessionConfig, fleet);
-        fleet.setOnFinish(
-            [&](const workload::RequestSpec &spec, Tick tick) {
-                sessions.onRequestFinished(spec.id, tick);
-            });
-        sessions.start();
-        return fleet.run();
-    }
-
-    if (scenario.traceReplay) {
-        workload::submitTraceArrivals(scenario.dataset, fleet);
-        return fleet.run();
-    }
-
-    if (scenario.hasRateSchedule) {
-        workload::submitScheduledArrivals(scenario.dataset, fleet,
-                                          scenario.rateSchedule,
-                                          scenario.seed);
-        return fleet.run();
-    }
-
-    if (scenario.poissonRate > 0.0) {
-        workload::submitPoissonArrivals(scenario.dataset, fleet,
-                                        scenario.poissonRate,
-                                        scenario.seed);
-        return fleet.run();
-    }
-
-    workload::ClosedLoopClientPool clients(
-        scenario.clients, scenario.dataset, fleet,
-        scenario.thinkTime);
-    fleet.setOnFinish(
-        [&](const workload::RequestSpec &spec, Tick tick) {
-            clients.onRequestFinished(spec.id, tick);
-        });
-    clients.start();
-    return fleet.run();
+    return driveLoad(scenario, fleet, [&] { return fleet.run(); });
 }
 
 void

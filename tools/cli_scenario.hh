@@ -240,7 +240,7 @@ struct Scenario
     /** Per-instance performance models; populated (and sized to
      *  --instances) only for fleet scenarios. Empty = one engine
      *  driven by `perf` (the bit-exact single-instance path). */
-    std::vector<model::PerfModel> fleetPerfs;
+    std::vector<model::PerfModel> fleetPerfs{};
     cluster::RoutingPolicy routing =
         cluster::RoutingPolicy::FutureMemory;
 
@@ -259,8 +259,8 @@ struct Scenario
     /** Elastic autoscaling (cluster path, possibly from a fleet of
      *  one). */
     bool autoscale = false;
-    autoscale::AutoscaleConfig autoscaleConfig;
-    std::string scalePolicyName;
+    autoscale::AutoscaleConfig autoscaleConfig{};
+    std::string scalePolicyName{};
 
     /** Tenant count of the workload (0 = single tenant); gates the
      *  per-tenant report breakdown. */
@@ -275,12 +275,12 @@ struct Scenario
     bool disagg = false;
     std::size_t prefillInstances = 1;
     std::size_t decodeInstances = 1;
-    disagg::DisaggConfig disaggConfig;
+    disagg::DisaggConfig disaggConfig{};
 
     /** Flight-recorder output path (empty = tracing off); the
      *  exported JSON lands here and the per-request timeline at
      *  `traceOut + ".requests.csv"`. */
-    std::string traceOut;
+    std::string traceOut{};
 
     /** Capture level; Off leaves every trace hook a dead branch. */
     trace::TraceDetail traceDetail = trace::TraceDetail::Off;
