@@ -349,11 +349,20 @@ ServingCluster::controlTick(Tick when)
 {
     controlOnce(when);
 
-    // Keep ticking while anything can still happen. The fleet is
-    // quiescent once every offered request finished (or was shed)
-    // and no instance holds work or pending arrivals — after that,
-    // only bookkeeping events (e.g. a far-future warm-up) could
-    // remain, and no further control decision can matter.
+    // Keep ticking while anything can still happen. Once the fleet
+    // is quiescent only bookkeeping events (e.g. a far-future
+    // warm-up) could remain, and no further control decision can
+    // matter.
+    if (!context_->empty() && !quiescent()) {
+        context_->schedule(
+            when + autoscaler_->config().controlInterval,
+            [this](Tick tick) { controlTick(tick); });
+    }
+}
+
+bool
+ServingCluster::quiescent() const
+{
     std::size_t finished = 0;
     bool busy = false;
     for (const auto &instance : instances_) {
@@ -361,14 +370,9 @@ ServingCluster::controlTick(Tick when)
         busy = busy || instance->hasWork() ||
                instance->hasPendingArrivals();
     }
-    const bool quiescent = !busy &&
+    return !busy &&
         shedRequests_ + static_cast<std::int64_t>(finished) ==
             offeredRequests_;
-    if (!context_->empty() && !quiescent) {
-        context_->schedule(
-            when + autoscaler_->config().controlInterval,
-            [this](Tick tick) { controlTick(tick); });
-    }
 }
 
 void
@@ -660,6 +664,18 @@ ServingCluster::run()
     // order on the shared context. Engines schedule their own next
     // iterations, so running the queue dry runs the fleet dry.
     context_->runToCompletion();
+
+    // Conservation once the queue runs dry: offered = finished +
+    // shed, and every finished request released its KV.
+    LIGHTLLM_ASSERT(quiescent(),
+                    "event queue ran dry with requests still in "
+                    "flight");
+    for (const auto &instance : instances_) {
+        LIGHTLLM_ASSERT(instance->kvManager().numRequests() == 0,
+                        "instance drained with ",
+                        instance->kvManager().numRequests(),
+                        " KV allocations still live");
+    }
     return finalizeReport();
 }
 

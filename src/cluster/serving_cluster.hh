@@ -382,6 +382,10 @@ class ServingCluster : public workload::RequestSink
     /** One autoscale control tick at `when`. */
     void controlTick(Tick when);
 
+    /** Every offered request finished (or was shed), and no
+     *  instance holds work or pending arrivals. */
+    bool quiescent() const;
+
     /** Route one (possibly re-dispatched) submission. */
     void routeSubmission(const workload::RequestSpec &spec,
                          Tick deliver, Tick stamp);

@@ -58,8 +58,8 @@ struct BatchEntry
  * subtracted from the whole footprint, never from the prompt alone.
  * Eq. 3 only sums l_p + l_t and reads l_hat - l_t, so the entry
  * carries the footprint as its l_p with l_t = 0. Every future-memory
- * walk over a batch (the schedulers' and the engine's audit) builds
- * its entries here.
+ * walk over a batch (the schedulers', and the engine's per-step
+ * memory statistics and trace counters) builds its entries here.
  */
 inline BatchEntry
 residentEntry(TokenCount prompt_len, TokenCount generated_len,

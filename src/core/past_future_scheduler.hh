@@ -140,8 +140,8 @@ class PastFutureScheduler : public Scheduler
      * Read-only twin of predict(): reuses the frozen sticky
      * variate when the request has one, falls back to the
      * conditional tail mean otherwise. Never inserts into the
-     * sticky map and never draws from the RNG, so tracing and
-     * audit can call it freely without steering the run.
+     * sticky map and never draws from the RNG, so tracing can call
+     * it freely without steering the run.
      */
     TokenCount peekPrediction(RequestId id,
                               TokenCount generated_len,

@@ -183,8 +183,10 @@ class Scheduler
 
     /**
      * Read-only estimate of request `id`'s final output length —
-     * the introspection twin of the internal prediction, used by
-     * the flight recorder and the prediction-audit counters.
+     * the introspection twin of the internal prediction, used only
+     * by the flight recorder (span arguments and, at steps detail,
+     * the per-step `kv_future_pred` counter); untraced runs never
+     * call it.
      * Implementations MUST NOT mutate observable scheduler state
      * (no RNG draws, no per-request bookkeeping), so calling this
      * any number of times leaves a run bit-identical to one that

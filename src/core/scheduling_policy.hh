@@ -93,8 +93,8 @@ class SchedulingPolicy
     /** Routing-signal estimate (forwarded, see Scheduler). */
     virtual TokenCount estimateLoad(const SchedulerContext &ctx);
 
-    /** Read-only output-length estimate for tracing and the
-     *  prediction audit (see Scheduler::peekPrediction). */
+    /** Read-only output-length estimate for the flight recorder
+     *  (see Scheduler::peekPrediction). */
     TokenCount peekPrediction(RequestId id, TokenCount generated_len,
                               TokenCount max_new_tokens)
     {

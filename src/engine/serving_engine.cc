@@ -756,8 +756,7 @@ ServingEngine::batchFutureMemory(bool predicted)
 
 void
 ServingEngine::traceStepCounters(std::int64_t batch_size,
-                                 TokenCount true_future,
-                                 TokenCount predicted_future)
+                                 TokenCount true_future)
 {
     trace_->counter(trace::TraceName::BatchSize, now_, batch_size);
     trace_->counter(trace::TraceName::KvUsed, now_,
@@ -765,7 +764,7 @@ ServingEngine::traceStepCounters(std::int64_t batch_size,
     trace_->counter(trace::TraceName::KvFutureTrue, now_,
                     true_future);
     trace_->counter(trace::TraceName::KvFuturePred, now_,
-                    predicted_future);
+                    batchFutureMemory(true));
     trace_->counter(trace::TraceName::QueueDepth, now_,
                     static_cast<std::int64_t>(waiting_.size()));
 }
@@ -904,13 +903,10 @@ ServingEngine::runPass(bool decode, std::span<const PlannedWork> work)
 
     if (batch_size > 0) {
         const TokenCount true_future = batchFutureMemory(false);
-        const TokenCount predicted_future = batchFutureMemory(true);
         collector_.onDecodeStep(batch_size, kv_.usedTokens(),
-                                true_future, predicted_future, now_,
-                                duration);
+                                true_future, now_, duration);
         if (trace_ != nullptr && trace_->stepsEnabled())
-            traceStepCounters(batch_size, true_future,
-                              predicted_future);
+            traceStepCounters(batch_size, true_future);
     }
     if (chunk > 0)
         collector_.onPrefill(chunk, duration);
@@ -1020,6 +1016,11 @@ ServingEngine::run(const RunLimits &limits)
 
     while (stepOnce(limits)) {
     }
+    // Drained, not stopped: every request finished, and each one
+    // released its KV allocation on the way out.
+    LIGHTLLM_ASSERT(limitsReached(limits) || kv_.numRequests() == 0,
+                    "engine drained with ", kv_.numRequests(),
+                    " KV allocations still live");
     return report();
 }
 

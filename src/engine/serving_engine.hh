@@ -402,16 +402,17 @@ class ServingEngine : public workload::RequestSink
 
     /** Future required memory of the running and prefilling
      *  requests, with true output lengths or (`predicted`) the
-     *  scheduler's read-only prediction peek — the audit pair. */
+     *  scheduler's read-only prediction peek. Only the steps trace
+     *  asks for the predicted walk. */
     TokenCount batchFutureMemory(bool predicted);
 
     /** Trace a successful admission (queued → prefill spans). */
     void traceAdmit(const EngineRequest &request);
 
-    /** Emit the per-iteration engine counters (detail >= steps). */
+    /** Emit the per-iteration engine counters (detail >= steps),
+     *  including the predicted future-memory walk. */
     void traceStepCounters(std::int64_t batch_size,
-                           TokenCount true_future,
-                           TokenCount predicted_future);
+                           TokenCount true_future);
 
     /** Scheduler context over the current queues. */
     core::SchedulerContext buildContext();

@@ -89,8 +89,8 @@ runStaticBatch(const model::PerfModel &perf,
             now += duration;
             collector.onDecodeStep(
                 static_cast<std::int64_t>(count),
-                arena.usedTokens(), arena.usedTokens(),
-                arena.usedTokens(), now, duration);
+                arena.usedTokens(), arena.usedTokens(), now,
+                duration);
             for (std::size_t i = 0; i < count; ++i) {
                 if (batch[i].effectiveOutputLen() >= step) {
                     max_gap[i] = std::max(max_gap[i],

@@ -1,7 +1,5 @@
 #include "metrics/collector.hh"
 
-#include <cmath>
-
 #include "base/logging.hh"
 
 namespace lightllm {
@@ -27,57 +25,24 @@ void
 MetricsCollector::onDecodeStep(std::int64_t batch_size,
                                TokenCount used_tokens,
                                TokenCount true_future_tokens,
-                               TokenCount predicted_future_tokens,
                                Tick tick, Tick duration)
 {
-    stepBuffer_[stepsBuffered_++] =
-        StepRecord{batch_size, used_tokens, true_future_tokens,
-                   predicted_future_tokens, tick, duration};
-    if (stepsBuffered_ == kStepBatch)
-        flushSteps();
-}
-
-void
-MetricsCollector::flushSteps()
-{
+    ++decodeSteps_;
     const double capacity = static_cast<double>(capacity_);
-    for (std::size_t i = 0; i < stepsBuffered_; ++i) {
-        const StepRecord &record = stepBuffer_[i];
-        ++decodeSteps_;
-        const double weight = static_cast<double>(record.duration);
-        const double consumed =
-            static_cast<double>(record.usedTokens) / capacity;
-        const double future =
-            static_cast<double>(record.trueFutureTokens) / capacity;
-        consumedWeighted_ += consumed * weight;
-        futureWeighted_ += future * weight;
-        batchWeighted_ +=
-            static_cast<double>(record.batchSize) * weight;
-        decodeDuration_ += weight;
-
-        // Prediction audit: |predicted - true| futureRequiredRatio
-        // per step, plus the steps where the prediction alone
-        // forecast an eviction (predicted M* above capacity).
-        const double predicted =
-            static_cast<double>(record.predictedFutureTokens) /
-            capacity;
-        const double error = std::fabs(predicted - future);
-        futureErrorAbsSum_ += error;
-        auto bin = static_cast<std::size_t>(
-            error / RunReport::kFutureErrorBinWidth);
-        if (bin >= futureErrorHistogram_.size())
-            bin = futureErrorHistogram_.size() - 1;
-        ++futureErrorHistogram_[bin];
-        if (record.predictedFutureTokens > capacity_)
-            ++predictedEvictionSteps_;
-
-        if (timeseriesInterval_ > 0 &&
-            decodeSteps_ % timeseriesInterval_ == 0) {
-            timeseries_.push_back(MemoryTimePoint{
-                record.tick, consumed, future, record.batchSize});
-        }
+    const double weight = static_cast<double>(duration);
+    const double consumed =
+        static_cast<double>(used_tokens) / capacity;
+    const double future =
+        static_cast<double>(true_future_tokens) / capacity;
+    consumedWeighted_ += consumed * weight;
+    futureWeighted_ += future * weight;
+    batchWeighted_ += static_cast<double>(batch_size) * weight;
+    decodeDuration_ += weight;
+    if (timeseriesInterval_ > 0 &&
+        decodeSteps_ % timeseriesInterval_ == 0) {
+        timeseries_.push_back(
+            MemoryTimePoint{tick, consumed, future, batch_size});
     }
-    stepsBuffered_ = 0;
 }
 
 void
@@ -137,10 +102,6 @@ MetricsCollector::resetMeasurement(Tick now)
     futureWeighted_ = 0.0;
     batchWeighted_ = 0.0;
     decodeDuration_ = 0.0;
-    predictedEvictionSteps_ = 0;
-    futureErrorAbsSum_ = 0.0;
-    futureErrorHistogram_.fill(0);
-    stepsBuffered_ = 0;
     requests_.clear();
     timeseries_.clear();
 }
@@ -149,11 +110,6 @@ RunReport
 MetricsCollector::finish(std::string scheduler_name,
                          Tick makespan) const
 {
-    // Fold any still-buffered step records first. Logically const:
-    // flushing only moves buffered records into the aggregates
-    // they were always destined for, so a finish() snapshot equals
-    // the unbatched collector's at the same point.
-    const_cast<MetricsCollector *>(this)->flushSteps();
     RunReport report;
     report.schedulerName = std::move(scheduler_name);
     report.numFinished = requests_.size();
@@ -168,9 +124,6 @@ MetricsCollector::finish(std::string scheduler_name,
     report.prefixLookups = prefixLookups_;
     report.prefixPromptTokens = prefixPromptTokens_;
     report.prefixHitTokens = prefixHitTokens_;
-    report.predictedEvictionSteps = predictedEvictionSteps_;
-    report.futureErrorAbsSum = futureErrorAbsSum_;
-    report.futureErrorHistogram = futureErrorHistogram_;
     report.makespan = makespan - measureStart_;
     if (decodeDuration_ > 0.0) {
         report.avgConsumedMemory =

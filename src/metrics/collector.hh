@@ -10,7 +10,6 @@
 #ifndef LIGHTLLM_METRICS_COLLECTOR_HH
 #define LIGHTLLM_METRICS_COLLECTOR_HH
 
-#include <array>
 #include <cstdint>
 
 #include "base/types.hh"
@@ -42,27 +41,18 @@ class MetricsCollector
                               std::int64_t timeseries_interval = 0);
 
     /**
-     * One decode iteration completed.
-     *
-     * The record is buffered and folded in batches of kStepBatch
-     * (hot path: a handful of stores, no floating-point work); the
-     * fold replays the records in order with the exact arithmetic
-     * the unbatched path used, so aggregates are bit-identical at
-     * every finish() point.
+     * One decode iteration completed: folds the step into the
+     * duration-weighted aggregates.
      *
      * @param batch_size Requests decoded this step.
      * @param used_tokens KV tokens allocated during the step.
      * @param true_future_tokens Exact future required memory of the
      *        running batch (computed with ground-truth lengths).
-     * @param predicted_future_tokens The scheduler's read-only
-     *        future-memory estimate for the same batch (prediction
-     *        audit; pass used/true when no predictor exists).
      * @param tick Simulation time at the end of the step.
      * @param duration Step duration in ticks.
      */
     void onDecodeStep(std::int64_t batch_size, TokenCount used_tokens,
-                      TokenCount true_future_tokens,
-                      TokenCount predicted_future_tokens, Tick tick,
+                      TokenCount true_future_tokens, Tick tick,
                       Tick duration);
 
     /** One prefill iteration (or split-fuse chunk) completed. */
@@ -104,24 +94,6 @@ class MetricsCollector
     /** Time-series points pre-reserved when sampling is on. */
     static constexpr std::size_t kTimeseriesReserve = 256;
 
-    /** Decode-step records folded per flush. */
-    static constexpr std::size_t kStepBatch = 64;
-
-    /** One buffered onDecodeStep call (POD, stored by value). */
-    struct StepRecord
-    {
-        std::int64_t batchSize;
-        TokenCount usedTokens;
-        TokenCount trueFutureTokens;
-        TokenCount predictedFutureTokens;
-        Tick tick;
-        Tick duration;
-    };
-
-    /** Fold buffered step records into the aggregates (in record
-     *  order, with the unbatched path's exact arithmetic). */
-    void flushSteps();
-
     TokenCount capacity_;
     std::int64_t timeseriesInterval_;
     Tick measureStart_ = 0;
@@ -142,15 +114,6 @@ class MetricsCollector
     double futureWeighted_ = 0.0;
     double batchWeighted_ = 0.0;
     double decodeDuration_ = 0.0;
-
-    // Prediction audit (folded with the step batches).
-    std::int64_t predictedEvictionSteps_ = 0;
-    double futureErrorAbsSum_ = 0.0;
-    std::array<std::int64_t, RunReport::kFutureErrorBins>
-        futureErrorHistogram_{};
-
-    std::array<StepRecord, kStepBatch> stepBuffer_;
-    std::size_t stepsBuffered_ = 0;
 
     std::vector<RequestRecord> requests_;
     std::vector<MemoryTimePoint> timeseries_;

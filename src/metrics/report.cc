@@ -1,7 +1,6 @@
 #include "metrics/report.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <sstream>
 
 #include "base/str_util.hh"
@@ -63,39 +62,6 @@ RunReport::prefixHitRate() const
         return 0.0;
     return static_cast<double>(prefixHitTokens) /
         static_cast<double>(prefixPromptTokens);
-}
-
-double
-RunReport::futureErrorMean() const
-{
-    if (decodeSteps == 0)
-        return 0.0;
-    return futureErrorAbsSum / static_cast<double>(decodeSteps);
-}
-
-double
-RunReport::futureErrorP99() const
-{
-    std::int64_t total = 0;
-    for (std::int64_t count : futureErrorHistogram)
-        total += count;
-    if (total == 0)
-        return 0.0;
-    // Nearest-rank p99 over the binned samples; the estimate is
-    // the matching bin's upper edge (conservative to one bin).
-    const auto rank = static_cast<std::int64_t>(
-        std::ceil(0.99 * static_cast<double>(total)));
-    std::int64_t seen = 0;
-    for (std::size_t bin = 0; bin < futureErrorHistogram.size();
-         ++bin) {
-        seen += futureErrorHistogram[bin];
-        if (seen >= rank) {
-            return static_cast<double>(bin + 1) *
-                kFutureErrorBinWidth;
-        }
-    }
-    return static_cast<double>(futureErrorHistogram.size()) *
-        kFutureErrorBinWidth;
 }
 
 double
@@ -228,14 +194,6 @@ mergeReports(const std::vector<RunReport> &reports, std::string name)
         merged.prefixLookups += report.prefixLookups;
         merged.prefixPromptTokens += report.prefixPromptTokens;
         merged.prefixHitTokens += report.prefixHitTokens;
-        merged.predictedEvictionSteps +=
-            report.predictedEvictionSteps;
-        merged.futureErrorAbsSum += report.futureErrorAbsSum;
-        for (std::size_t bin = 0;
-             bin < merged.futureErrorHistogram.size(); ++bin) {
-            merged.futureErrorHistogram[bin] +=
-                report.futureErrorHistogram[bin];
-        }
         merged.shedRequests += report.shedRequests;
         merged.offeredRequests += report.offeredRequests;
         merged.instanceSeconds += report.instanceSeconds;

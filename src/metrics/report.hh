@@ -6,7 +6,6 @@
 #ifndef LIGHTLLM_METRICS_REPORT_HH
 #define LIGHTLLM_METRICS_REPORT_HH
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -83,39 +82,6 @@ struct RunReport
 
     /** Decode-step-weighted mean running batch size. */
     double avgBatchSize = 0.0;
-
-    // --- Prediction audit (groundwork for misprediction-robust
-    // admission, ROADMAP item 4) --------------------------------------
-
-    /** Width of one futureErrorHistogram bin (|ratio error|). */
-    static constexpr double kFutureErrorBinWidth = 0.01;
-
-    /** Fixed bin count so per-instance histograms merge by
-     *  summation; the last bin collects overflow. */
-    static constexpr std::size_t kFutureErrorBins = 64;
-
-    /**
-     * Decode steps whose *predicted* future required memory
-     * exceeded capacity — the scheduler's own eviction forecast.
-     * Compare against evictionEvents: forecast ≫ observed means
-     * over-conservative admission, forecast ≪ observed means the
-     * predictor is underestimating tails.
-     */
-    std::int64_t predictedEvictionSteps = 0;
-
-    /** Σ |predicted − true| futureRequiredRatio over decode
-     *  steps (mean = / decodeSteps). */
-    double futureErrorAbsSum = 0.0;
-
-    /** Histogram of |predicted − true| futureRequiredRatio. */
-    std::array<std::int64_t, kFutureErrorBins> futureErrorHistogram{};
-
-    /** Mean |futureRequiredRatio| prediction error per step. */
-    double futureErrorMean() const;
-
-    /** p99 of the per-step error (nearest-rank over the histogram;
-     *  reported as the matching bin's upper edge). */
-    double futureErrorP99() const;
 
     // --- Fleet / autoscale outcome (zero unless set by a cluster
     // run; engines never shed or scale) -------------------------------

@@ -125,13 +125,7 @@ writeSummaryJson(std::ostream &os, const RunReport &report,
            << "  \"handoff_shed_requests\": "
            << report.handoffShedRequests << ",\n";
     }
-    os << "  \"predicted_eviction_steps\": "
-       << report.predictedEvictionSteps << ",\n"
-       << "  \"future_error_mean\": "
-       << formatDouble(report.futureErrorMean(), 4) << ",\n"
-       << "  \"future_error_p99\": "
-       << formatDouble(report.futureErrorP99(), 4) << ",\n"
-       << "  \"avg_consumed_memory\": "
+    os << "  \"avg_consumed_memory\": "
        << formatDouble(report.avgConsumedMemory, 4) << ",\n"
        << "  \"avg_future_required\": "
        << formatDouble(report.avgFutureRequired, 4) << ",\n"

@@ -79,8 +79,8 @@ TEST(CollectorTest, DurationWeightedMemoryAverages)
 {
     MetricsCollector collector(1000);
     // Step 1: 500/1000 used for 30 ticks; step 2: 900/1000 for 10.
-    collector.onDecodeStep(4, 500, 600, 600, 30, 30);
-    collector.onDecodeStep(4, 900, 950, 950, 40, 10);
+    collector.onDecodeStep(4, 500, 600, 30, 30);
+    collector.onDecodeStep(4, 900, 950, 40, 10);
     const auto report = collector.finish("test", 40);
     EXPECT_NEAR(report.avgConsumedMemory,
                 (0.5 * 30 + 0.9 * 10) / 40.0, 1e-12);
@@ -105,7 +105,7 @@ TEST(CollectorTest, TimeseriesRespectsInterval)
 {
     MetricsCollector collector(1000, 2);
     for (int step = 1; step <= 7; ++step)
-        collector.onDecodeStep(1, 100, 100, 100, step, 1);
+        collector.onDecodeStep(1, 100, 100, step, 1);
     const auto report = collector.finish("test", 7);
     EXPECT_EQ(report.timeseries.size(), 3u);  // steps 2, 4, 6
     EXPECT_EQ(report.timeseries[0].tick, 2);
@@ -114,11 +114,11 @@ TEST(CollectorTest, TimeseriesRespectsInterval)
 TEST(CollectorTest, ResetMeasurementDiscardsHistory)
 {
     MetricsCollector collector(1000);
-    collector.onDecodeStep(2, 500, 500, 500, 10, 10);
+    collector.onDecodeStep(2, 500, 500, 10, 10);
     collector.onRequestFinished(record(0, 1, 2, 1, 100));
     collector.onEviction(true);
     collector.resetMeasurement(50);
-    collector.onDecodeStep(8, 800, 800, 800, 60, 10);
+    collector.onDecodeStep(8, 800, 800, 60, 10);
     collector.onRequestFinished(record(50, 60, 70, 1, 40));
     const auto report = collector.finish("test", 150);
     EXPECT_EQ(report.numFinished, 1u);
@@ -127,6 +127,50 @@ TEST(CollectorTest, ResetMeasurementDiscardsHistory)
     EXPECT_DOUBLE_EQ(report.avgBatchSize, 8.0);
     // Makespan excludes the warmup portion.
     EXPECT_EQ(report.makespan, 100);
+}
+
+TEST(CollectorTest, SnapshotsMatchHandAccumulatedMeansExactly)
+{
+    // finish() is a snapshot: it may be taken mid-run and the run
+    // goes on. Step counts that are not a round number catch any
+    // batching that leaves steps unfolded at the snapshot.
+    const TokenCount capacity = 997;
+    MetricsCollector collector(capacity);
+    double consumed = 0.0;
+    double future = 0.0;
+    double batch = 0.0;
+    double duration = 0.0;
+    Tick now = 0;
+    const auto step = [&](int i) {
+        const std::int64_t batch_size = 1 + i % 13;
+        const TokenCount used = 100 + (i * 37) % 800;
+        const TokenCount true_future = used + (i * 11) % 150;
+        const Tick ticks = 1 + (i * 7) % 29;
+        now += ticks;
+        collector.onDecodeStep(batch_size, used, true_future, now,
+                               ticks);
+        const double weight = static_cast<double>(ticks);
+        consumed += static_cast<double>(used) /
+            static_cast<double>(capacity) * weight;
+        future += static_cast<double>(true_future) /
+            static_cast<double>(capacity) * weight;
+        batch += static_cast<double>(batch_size) * weight;
+        duration += weight;
+    };
+    const auto expect_exact = [&](const RunReport &report,
+                                  std::int64_t steps) {
+        EXPECT_EQ(report.decodeSteps, steps);
+        EXPECT_EQ(report.avgConsumedMemory, consumed / duration);
+        EXPECT_EQ(report.avgFutureRequired, future / duration);
+        EXPECT_EQ(report.avgBatchSize, batch / duration);
+    };
+
+    for (int i = 0; i < 100; ++i)
+        step(i);
+    expect_exact(collector.finish("test", now), 100);
+    for (int i = 100; i < 130; ++i)
+        step(i);
+    expect_exact(collector.finish("test", now), 130);
 }
 
 RunReport

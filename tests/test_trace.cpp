@@ -2,18 +2,26 @@
  * @file
  * Flight-recorder coverage: ring semantics, export validity, the
  * read-only contract (traced reports byte-identical to untraced),
- * determinism across --sim-threads, and the CLI surface.
+ * prediction peeks confined to traced runs, determinism across
+ * --sim-threads, and the CLI surface.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cli_scenario.hh"
+#include "cluster/serving_cluster.hh"
+#include "core/past_future_scheduler.hh"
+#include "disagg/disagg_cluster.hh"
+#include "engine/serving_engine.hh"
 #include "metrics/report_io.hh"
+#include "test_fixtures.hh"
 #include "trace/trace_event.hh"
 #include "trace/trace_recorder.hh"
 #include "trace/trace_ring.hh"
@@ -281,6 +289,114 @@ TEST(TraceRun, DisaggAttachCoversBothPools)
     const std::string json = chromeJson(recorder);
     expectValidChromeJson(json);
     EXPECT_GT(countOccurrences(json, "\"migrated\""), 0u);
+}
+
+// --- Prediction peeks stay off the untraced hot path ----------------
+
+/** Past-Future admission that counts its read-only peeks. */
+class PeekCountingScheduler : public core::PastFutureScheduler
+{
+  public:
+    explicit PeekCountingScheduler(std::uint64_t &peeks)
+        : peeks_(peeks)
+    {
+    }
+
+    TokenCount
+    peekPrediction(RequestId id, TokenCount generated_len,
+                   TokenCount max_new_tokens) override
+    {
+        ++peeks_;
+        return core::PastFutureScheduler::peekPrediction(
+            id, generated_len, max_new_tokens);
+    }
+
+  private:
+    std::uint64_t &peeks_;
+};
+
+std::vector<std::unique_ptr<engine::ServingEngine>>
+peekCountingEngines(std::size_t count, std::uint64_t &peeks)
+{
+    std::vector<std::unique_ptr<engine::ServingEngine>> engines;
+    for (std::size_t i = 0; i < count; ++i) {
+        engines.push_back(std::make_unique<engine::ServingEngine>(
+            testfx::tinyPerf(4.0),
+            std::make_unique<PeekCountingScheduler>(peeks)));
+    }
+    return engines;
+}
+
+/** 40 requests, enough to fill batches and feed the history. */
+void
+submitPeekLoad(workload::RequestSink &sink)
+{
+    for (RequestId id = 0; id < 40; ++id) {
+        sink.submitAt(testfx::makeRequest(id, 60 + id % 7 * 10,
+                                          20 + id % 9 * 5),
+                      id * 2000);
+    }
+}
+
+TEST(TracePeeks, UntracedRunsNeverPeek)
+{
+    std::uint64_t peeks = 0;
+    {
+        auto engines = peekCountingEngines(1, peeks);
+        submitPeekLoad(*engines.front());
+        EXPECT_EQ(engines.front()->run().numFinished, 40u);
+    }
+    EXPECT_EQ(peeks, 0u) << "single engine";
+
+    {
+        cluster::ServingCluster fleet(
+            peekCountingEngines(4, peeks),
+            cluster::RoutingPolicy::FutureMemory);
+        submitPeekLoad(fleet);
+        EXPECT_EQ(fleet.run().numFinished, 40u);
+    }
+    EXPECT_EQ(peeks, 0u) << "4-instance fleet";
+
+    {
+        disagg::DisaggConfig config;
+        config.kvBytesPerToken = 1024;
+        config.blockSize = 16;
+        config.linkBandwidth = 25e9;
+        config.transferLatency = secondsToTicks(0.002);
+        disagg::DisaggCluster fleet(peekCountingEngines(2, peeks),
+                                    peekCountingEngines(2, peeks),
+                                    config);
+        submitPeekLoad(fleet);
+        EXPECT_EQ(fleet.run().numFinished, 40u);
+    }
+    EXPECT_EQ(peeks, 0u) << "2P+2D disagg";
+}
+
+TEST(TracePeeks, StepsDetailPeeksWithoutSteering)
+{
+    const metrics::SlaSpec sla = metrics::SlaSpec::small7b13b();
+
+    std::uint64_t untraced_peeks = 0;
+    auto untraced = peekCountingEngines(1, untraced_peeks);
+    submitPeekLoad(*untraced.front());
+    const metrics::RunReport untraced_report =
+        untraced.front()->run();
+
+    std::uint64_t traced_peeks = 0;
+    auto traced = peekCountingEngines(1, traced_peeks);
+    trace::TraceRecorder recorder(trace::TraceConfig{
+        trace::TraceDetail::Steps, 1 << 14});
+    traced.front()->attachTrace(recorder.createEngine("engine-0"));
+    submitPeekLoad(*traced.front());
+    const metrics::RunReport traced_report = traced.front()->run();
+
+    EXPECT_EQ(untraced_peeks, 0u);
+    EXPECT_GT(traced_peeks, 0u);
+    EXPECT_EQ(reportText(untraced_report, sla),
+              reportText(traced_report, sla));
+    EXPECT_GT(countOccurrences(chromeJson(recorder),
+                               "\"kv_future_pred\""),
+              0u);
 }
 
 // --- CLI surface --------------------------------------------------
