@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "base/logging.hh"
 
@@ -12,6 +13,8 @@ LengthDistribution::LengthDistribution(std::vector<TokenCount> lengths)
     : sorted_(std::move(lengths))
 {
     std::sort(sorted_.begin(), sorted_.end());
+    total_ = std::accumulate(sorted_.begin(), sorted_.end(),
+                             TokenCount{0});
     sumsDirty_ = true;
     ensureSums();
 }
@@ -22,6 +25,7 @@ LengthDistribution::insertValue(TokenCount value)
     sorted_.insert(
         std::upper_bound(sorted_.begin(), sorted_.end(), value),
         value);
+    total_ += value;
     sumsDirty_ = true;
 }
 
@@ -33,6 +37,7 @@ LengthDistribution::eraseValue(TokenCount value)
     LIGHTLLM_ASSERT(it != sorted_.end() && *it == value,
                     "erase of unrecorded length ", value);
     sorted_.erase(it);
+    total_ -= value;
     sumsDirty_ = true;
 }
 
@@ -41,13 +46,10 @@ LengthDistribution::ensureSums() const
 {
     if (!sumsDirty_)
         return;
-    prefixSums_.clear();
-    prefixSums_.reserve(sorted_.size() + 1);
-    prefixSums_.push_back(0.0);
-    for (TokenCount value : sorted_) {
-        prefixSums_.push_back(prefixSums_.back() +
-                              static_cast<double>(value));
-    }
+    prefixSums_.resize(sorted_.size() + 1);
+    prefixSums_[0] = 0;
+    std::partial_sum(sorted_.begin(), sorted_.end(),
+                     prefixSums_.begin() + 1);
     sumsDirty_ = false;
 }
 
@@ -114,11 +116,17 @@ LengthDistribution::tailMean(TokenCount greater_than,
                                         greater_than);
     if (first == sorted_.end())
         return fallback;
-    ensureSums();
     const auto lo = static_cast<std::size_t>(
         std::distance(sorted_.begin(), first));
-    const double sum = prefixSums_.back() - prefixSums_[lo];
-    const double count = static_cast<double>(sorted_.size() - lo);
+    // The unconditional mean (lo == 0: every fresh request's peek)
+    // needs no prefix sums, so it never pays for a rebuild.
+    TokenCount head = 0;
+    if (lo > 0) {
+        ensureSums();
+        head = prefixSums_[lo];
+    }
+    const auto sum = static_cast<double>(total_ - head);
+    const auto count = static_cast<double>(sorted_.size() - lo);
     return static_cast<TokenCount>(std::llround(sum / count));
 }
 
@@ -166,10 +174,8 @@ LengthDistribution::meanLength() const
 {
     if (sorted_.empty())
         return 0.0;
-    double sum = 0.0;
-    for (TokenCount value : sorted_)
-        sum += static_cast<double>(value);
-    return sum / static_cast<double>(sorted_.size());
+    return static_cast<double>(total_) /
+        static_cast<double>(sorted_.size());
 }
 
 } // namespace core

@@ -103,9 +103,10 @@ class LengthDistribution
 
   private:
     /** Recompute prefixSums_ if a mutation invalidated them. The
-     *  rebuild is the same left-to-right summation the constructor
-     *  performs, so lazily refreshed sums are bit-identical to a
-     *  from-scratch build. */
+     *  sums are exact integers, so a lazily refreshed vector is
+     *  identical to a from-scratch build, and a mean divides the
+     *  same exact sum a double accumulation would reach (sums stay
+     *  far below 2^53). */
     void ensureSums() const;
 
     std::vector<TokenCount> sorted_;
@@ -113,8 +114,11 @@ class LengthDistribution
     /** Prefix sums of sorted_ for O(log n) tail means; rebuilt
      *  lazily after insertValue/eraseValue (mean queries are far
      *  rarer than observations on the serving hot path). */
-    mutable std::vector<double> prefixSums_;
+    mutable std::vector<TokenCount> prefixSums_;
     mutable bool sumsDirty_ = false;
+
+    /** Sum of sorted_, kept exact through every mutation. */
+    TokenCount total_ = 0;
 };
 
 } // namespace core

@@ -185,7 +185,7 @@ class Scheduler
      * Read-only estimate of request `id`'s final output length —
      * the introspection twin of the internal prediction, used only
      * by the flight recorder (span arguments and, at steps detail,
-     * the per-step `kv_future_pred` counter); untraced runs never
+     * the sampled `kv_future_pred` counter); untraced runs never
      * call it.
      * Implementations MUST NOT mutate observable scheduler state
      * (no RNG draws, no per-request bookkeeping), so calling this

@@ -25,6 +25,14 @@ enum class WorkKind : std::uint8_t
     Prefill,
 };
 
+/**
+ * Decode passes per `kv_future_pred` sample. The predicted walk
+ * costs about as much as a whole simulated step (one
+ * peekPrediction per resident request, then the Eq. 2-3 sort), so
+ * a steps trace samples it instead of paying it every pass.
+ */
+constexpr std::int64_t kFuturePredStride = 64;
+
 } // namespace
 
 struct ServingEngine::PlannedWork
@@ -763,8 +771,10 @@ ServingEngine::traceStepCounters(std::int64_t batch_size,
                     kv_.usedTokens());
     trace_->counter(trace::TraceName::KvFutureTrue, now_,
                     true_future);
-    trace_->counter(trace::TraceName::KvFuturePred, now_,
-                    batchFutureMemory(true));
+    if (tracedSteps_++ % kFuturePredStride == 0) {
+        trace_->counter(trace::TraceName::KvFuturePred, now_,
+                        batchFutureMemory(true));
+    }
     trace_->counter(trace::TraceName::QueueDepth, now_,
                     static_cast<std::int64_t>(waiting_.size()));
 }

@@ -409,8 +409,9 @@ class ServingEngine : public workload::RequestSink
     /** Trace a successful admission (queued → prefill spans). */
     void traceAdmit(const EngineRequest &request);
 
-    /** Emit the per-iteration engine counters (detail >= steps),
-     *  including the predicted future-memory walk. */
+    /** Emit the per-iteration engine counters (detail >= steps);
+     *  the predicted future-memory walk runs every
+     *  kFuturePredStride-th call. */
     void traceStepCounters(std::int64_t batch_size,
                            TokenCount true_future);
 
@@ -446,6 +447,10 @@ class ServingEngine : public workload::RequestSink
     /** Flight-recorder sink; null (the default) = tracing off and
      *  every hook reduces to this one branch. */
     trace::EngineTrace *trace_ = nullptr;
+
+    /** Decode passes traceStepCounters has seen; paces the
+     *  sampled `kv_future_pred` counter. */
+    std::int64_t tracedSteps_ = 0;
 
     /** Private context in standalone mode; null when shared. */
     std::unique_ptr<sim::SimContext> ownedContext_;

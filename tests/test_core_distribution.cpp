@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "base/rng.hh"
 #include "core/history_window.hh"
@@ -243,6 +244,32 @@ TEST(LengthDistributionTest, MeanAndMax)
     const LengthDistribution dist({1, 2, 3, 4});
     EXPECT_DOUBLE_EQ(dist.meanLength(), 2.5);
     EXPECT_EQ(dist.maxLength(), 4);
+}
+
+TEST(LengthDistributionTest, IncrementalMeansMatchFreshBuild)
+{
+    // Window-style churn: every insert displaces the oldest value.
+    // Means read straight after a mutation (total only) and after a
+    // conditional query (rebuilt prefix sums) must equal a fresh
+    // distribution over the same values.
+    Rng rng(7);
+    std::vector<TokenCount> window = {5, 90, 17, 300, 42, 42, 8};
+    LengthDistribution incremental(window);
+    for (int step = 0; step < 200; ++step) {
+        const TokenCount value = rng.uniformInt(1, 400);
+        incremental.eraseValue(window.front());
+        window.erase(window.begin());
+        incremental.insertValue(value);
+        window.push_back(value);
+        const LengthDistribution fresh(window);
+        EXPECT_EQ(incremental.tailMean(0, -1), fresh.tailMean(0, -1));
+        for (TokenCount threshold : {TokenCount{1}, TokenCount{42},
+                                     TokenCount{200}, value}) {
+            EXPECT_EQ(incremental.tailMean(threshold, -1),
+                      fresh.tailMean(threshold, -1));
+        }
+        EXPECT_EQ(incremental.meanLength(), fresh.meanLength());
+    }
 }
 
 /**

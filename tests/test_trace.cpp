@@ -397,6 +397,24 @@ TEST(TracePeeks, StepsDetailPeeksWithoutSteering)
     EXPECT_GT(countOccurrences(chromeJson(recorder),
                                "\"kv_future_pred\""),
               0u);
+
+    // The predicted walk is sampled: every 64th decode pass, the
+    // first included, beside that pass's kv_future_true.
+    ASSERT_EQ(recorder.totalDropped(), 0u);
+    const trace::TraceRing &ring = recorder.engines().front().ring();
+    std::vector<Tick> true_ticks;
+    std::vector<Tick> pred_ticks;
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+        const trace::TraceEvent &event = ring.at(i);
+        if (event.name == trace::TraceName::KvFutureTrue)
+            true_ticks.push_back(event.tick);
+        if (event.name == trace::TraceName::KvFuturePred)
+            pred_ticks.push_back(event.tick);
+    }
+    ASSERT_GT(true_ticks.size(), 64u);
+    ASSERT_EQ(pred_ticks.size(), (true_ticks.size() + 63) / 64);
+    for (std::size_t i = 0; i < pred_ticks.size(); ++i)
+        EXPECT_EQ(pred_ticks[i], true_ticks[64 * i]);
 }
 
 // --- CLI surface --------------------------------------------------
