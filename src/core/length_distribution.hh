@@ -102,11 +102,9 @@ class LengthDistribution
     double meanLength() const;
 
   private:
-    /** Recompute prefixSums_ if a mutation invalidated them. The
-     *  sums are exact integers, so a lazily refreshed vector is
-     *  identical to a from-scratch build, and a mean divides the
-     *  same exact sum a double accumulation would reach (sums stay
-     *  far below 2^53). */
+    /** Recompute prefixSums_ if a mutation invalidated them.
+     *  Integer sums are exact, so a lazily refreshed vector equals
+     *  a from-scratch build. */
     void ensureSums() const;
 
     std::vector<TokenCount> sorted_;
